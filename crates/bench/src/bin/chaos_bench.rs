@@ -49,7 +49,7 @@ const FAULT_SEED: u64 = 0xC4A0;
 const CLIENTS: usize = 4;
 /// Per-call retry budget; storms must never turn into client timeouts.
 const CALL_BUDGET: Duration = Duration::from_secs(60);
-/// Pacing between storm swaps; each swap also pays a full label resharding.
+/// Pacing between storm swaps.
 const STORM_PACING: Duration = Duration::from_millis(1);
 /// Upper bounds (µs) of the recovery-latency histogram buckets; the last
 /// bucket is open-ended.

@@ -40,7 +40,7 @@ const SIM_NODES: usize = 8;
 const BATCH: usize = 64;
 const SLICES: usize = 3;
 const WORKLOAD_SEED: u64 = 0x5a4b;
-/// Pacing between storm swaps; each swap also pays a full label resharding.
+/// Pacing between storm swaps.
 const STORM_PACING: Duration = Duration::from_micros(500);
 
 struct Run {

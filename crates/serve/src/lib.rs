@@ -1,26 +1,26 @@
-//! `reach-serve` — a concurrent, shard-aware reachability query service.
+//! `reach-serve` — a concurrent reachability query service.
 //!
 //! The paper's deployment model (§II-A) ends at "ship the finished DRL
 //! index to a query machine"; this crate is that query machine. It serves
-//! an immutable, [`Arc`](std::sync::Arc)-shared [`reach_index::ReachIndex`]
-//! to many concurrent clients:
+//! an immutable, [`Arc`](std::sync::Arc)-shared
+//! [`reach_index::IndexSource`] to many concurrent clients:
 //!
-//! * **Sharding** — the label store is partitioned by the same
-//!   vertex-partitioning the cluster simulation uses
-//!   ([`reach_vcs::Partition`]): worker `k` owns `L_out(v)` for every
-//!   vertex with `node_of(v) == k` and answers every query sourced at one
-//!   of its vertices entirely locally (the in-label side is an immutable
-//!   shared replica, so no cross-shard hop is ever needed). See
-//!   [`shard::ShardedLabels`].
+//! * **One shared index, any backing** — a decoded
+//!   [`reach_index::ReachIndex`], a compressed image and an mmap'd file
+//!   are all served as the same `Arc<dyn IndexSource>`: every worker
+//!   runs the paper's one sorted-list intersection (Def. 3) on the
+//!   caller's own allocation. The service keeps no second copy of the
+//!   labels, so start and swap cost one `Arc` store whatever the index
+//!   size.
 //! * **Batching & admission control** — queries are submitted in batches
 //!   ([`QueryService::submit_batch`]) with an optional per-batch deadline.
-//!   Each shard has a bounded request queue; a full queue rejects the
-//!   batch with [`ServeError::Overloaded`] at admission time and an
-//!   expired deadline yields [`ServeError::DeadlineExceeded`] — never a
-//!   silent drop or a panic. Results come back in submission order
-//!   regardless of which shard answered what, so answers are bit-identical
-//!   to direct [`reach_index::ReachIndex::query`] calls at any worker
-//!   count.
+//!   Each worker has a bounded request queue (a query goes to queue
+//!   `s % workers`); a full queue rejects the batch with
+//!   [`ServeError::Overloaded`] at admission time and an expired
+//!   deadline yields [`ServeError::DeadlineExceeded`] — never a silent
+//!   drop or a panic. Results come back in submission order regardless
+//!   of which worker answered what, so answers are bit-identical to
+//!   direct [`reach_index::ReachIndex::query`] calls at any worker count.
 //! * **Caching** — a seeded, sharded LRU result cache keyed on
 //!   `(generation, s, t)` ([`cache::ShardedLruCache`]) absorbs hot pairs;
 //!   hit/miss counts are visible through [`QueryService::stats`] and, with
@@ -59,7 +59,6 @@ pub mod cache;
 pub mod fault;
 pub mod retry;
 pub mod service;
-pub mod shard;
 pub mod supervisor;
 pub mod swap;
 pub mod testing;
@@ -70,7 +69,6 @@ pub use retry::RetryPolicy;
 pub use service::{
     BatchOptions, BatchTicket, DegradeConfig, Priority, QueryService, ServeConfig, ServeStats,
 };
-pub use shard::ShardedLabels;
 pub use supervisor::{ResilienceConfig, SupervisorConfig};
 pub use swap::{Swappable, Tagged};
 

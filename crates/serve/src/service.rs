@@ -1,10 +1,12 @@
-//! The multi-threaded query service: worker pool, bounded per-shard
+//! The multi-threaded query service: worker pool, bounded per-worker
 //! queues, batch tickets, deadlines, and the result cache.
 //!
 //! # Lifecycle
 //!
-//! [`QueryService::start`] builds the [`ShardedLabels`] store from an
-//! `Arc`-shared index and spawns one worker thread per shard. Submitters
+//! [`QueryService::start`] (or [`QueryService::start_with_source`])
+//! puts an `Arc`-shared [`IndexSource`] behind the epoch slot — no
+//! label is copied — and spawns the worker threads, each with its own
+//! queue; a query is routed to queue `s % workers`. Submitters
 //! call [`QueryService::reachable`] / [`QueryService::submit_batch`] (or
 //! the non-blocking [`QueryService::submit_batch_async`], which returns a
 //! [`BatchTicket`]); [`QueryService::shutdown`] closes the queues, lets
@@ -23,9 +25,9 @@
 //!
 //! # Hot-swap
 //!
-//! [`QueryService::swap_index`] installs a rebuilt index (plus its
-//! resharded label store) behind a generation-tagged
-//! [`Swappable`] slot without draining anything:
+//! [`QueryService::swap_index`] installs a rebuilt index behind a
+//! generation-tagged [`Swappable`] slot — one `Arc` store, whatever the
+//! backing — without draining anything:
 //! in-flight batches keep the epoch they pinned, queued batches pin the
 //! current epoch at **first worker pickup** (raced sub-batches agree via
 //! a `OnceLock`), and the result cache keys on the generation so one
@@ -63,60 +65,35 @@ use std::time::{Duration, Instant};
 
 use reach_graph::VertexId;
 use reach_index::{IndexSource, ReachIndex};
-use reach_vcs::Partition;
 
 use crate::cache::ShardedLruCache;
 use crate::fault::{InjectedFault, WorkerFaultStream};
-use crate::shard::ShardedLabels;
 use crate::supervisor::{Resilience, ResilienceConfig, WorkerExit, WorkerSlot};
 use crate::swap::{Swappable, Tagged};
 use crate::{DegradeTier, ServeError};
 
-/// One served index epoch, swapped in as a unit so a worker can never
-/// pair one generation's labels with another's index.
-///
-/// Two backings answer the same queries: the classic **Ram** form (a
-/// decoded [`ReachIndex`] plus the [`ShardedLabels`] store resharded
-/// from it), and a **Source** form — any [`IndexSource`], e.g. a
-/// compressed or mmap-backed v2 image — for indexes that should not
-/// (or cannot) be fully decoded into memory. Source epochs answer from
-/// one shared structure, so the worker's `shard` id does not partition
-/// the scan; admission, queueing, caching, and swaps are identical.
-pub(crate) enum Epoch {
-    /// Decoded index + sharded label store (the original serving form).
-    Ram {
-        /// The decoded index, for witness queries and re-sharding swaps.
-        index: Arc<ReachIndex>,
-        /// Per-shard CSR labels the workers scan.
-        labels: ShardedLabels,
-    },
-    /// Any [`IndexSource`] backing: compressed in-heap or mmap-backed.
-    Source(Arc<dyn IndexSource>),
+/// One served index epoch. Every backing — a decoded [`ReachIndex`], a
+/// compressed image, an mmap'd file — is served through the same shared
+/// [`IndexSource`]; workers only ever see `source`.
+pub(crate) struct Epoch {
+    source: Arc<dyn IndexSource>,
+    /// The same allocation as `source` when the epoch was installed as a
+    /// decoded index, so [`QueryService::index_tagged`] can hand it back.
+    decoded: Option<Arc<ReachIndex>>,
 }
 
 impl Epoch {
-    /// Vertices covered by this epoch's index.
-    fn num_vertices(&self) -> usize {
-        match self {
-            Epoch::Ram { labels, .. } => labels.num_vertices(),
-            Epoch::Source(src) => src.num_vertices(),
+    fn ram(index: Arc<ReachIndex>) -> Self {
+        Epoch {
+            source: Arc::clone(&index) as Arc<dyn IndexSource>,
+            decoded: Some(index),
         }
     }
 
-    /// Answers `q(s, t)` with its scan cost. `shard` routes the Ram
-    /// form's per-shard label store; a Source ignores it.
-    fn scan(&self, shard: usize, s: VertexId, t: VertexId) -> (bool, usize) {
-        match self {
-            Epoch::Ram { labels, .. } => labels.scan(shard, s, t),
-            Epoch::Source(src) => src.query_scan(s, t),
-        }
-    }
-
-    /// The backing as a shareable [`IndexSource`] (witness queries).
-    fn as_source(&self) -> Arc<dyn IndexSource> {
-        match self {
-            Epoch::Ram { index, .. } => Arc::clone(index) as Arc<dyn IndexSource>,
-            Epoch::Source(src) => Arc::clone(src),
+    fn source(source: Arc<dyn IndexSource>) -> Self {
+        Epoch {
+            source,
+            decoded: None,
         }
     }
 }
@@ -127,7 +104,7 @@ type EpochRef = Arc<Tagged<Epoch>>;
 /// Tuning knobs of a [`QueryService`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads — one label shard per worker. Must be ≥ 1.
+    /// Worker threads, each draining its own queue. Must be ≥ 1.
     pub workers: usize,
     /// Bounded per-shard request queue, in sub-batches; a full queue
     /// rejects new batches with [`ServeError::Overloaded`]. Must be ≥ 1.
@@ -389,7 +366,6 @@ struct StatsInner {
     max_queue_depth: AtomicU64,
     swaps: AtomicU64,
     swap_failures: AtomicU64,
-    generation: AtomicU64,
     respawns: AtomicU64,
     requeued: AtomicU64,
     injected_crashes: AtomicU64,
@@ -397,7 +373,9 @@ struct StatsInner {
 }
 
 impl StatsInner {
-    fn snapshot(&self) -> ServeStats {
+    /// The counters, with `generation` as read from the epoch slot by
+    /// the caller — the slot is its only store.
+    fn snapshot(&self, generation: u64) -> ServeStats {
         ServeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             answered: self.answered.load(Ordering::Relaxed),
@@ -413,7 +391,7 @@ impl StatsInner {
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             swap_failures: self.swap_failures.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Relaxed),
+            generation,
             respawns: self.respawns.load(Ordering::Relaxed),
             requeued: self.requeued.load(Ordering::Relaxed),
             injected_crashes: self.injected_crashes.load(Ordering::Relaxed),
@@ -655,7 +633,7 @@ pub(crate) struct SubBatch {
     state: Arc<BatchState>,
     deadline: Option<Instant>,
     admitted_at: Instant,
-    /// Queries routed to this shard (source vertices it owns).
+    /// Queries routed to this shard's queue (`s % workers`).
     queries: Vec<(VertexId, VertexId)>,
     /// Submission position of each query, for order restoration.
     positions: Vec<u32>,
@@ -794,9 +772,6 @@ impl ShardQueue {
 struct Shared {
     /// The served epoch: swapped atomically, pinned per batch.
     epochs: Swappable<Epoch>,
-    /// The fixed vertex-partitioning; every epoch is resharded by it so
-    /// routing decisions stay valid across swaps.
-    partition: Partition,
     cache: Option<ShardedLruCache>,
     queues: Vec<ShardQueue>,
     stats: StatsInner,
@@ -845,7 +820,7 @@ impl Shared {
     }
 }
 
-/// The concurrent, shard-aware reachability query service. See the crate
+/// The concurrent reachability query service. See the crate
 /// docs for the design and [`ServeConfig`] for the knobs.
 pub struct QueryService {
     shared: Arc<Shared>,
@@ -858,51 +833,28 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Starts a service over `index` with the paper's id-modulo
-    /// vertex-partitioning at `config.workers` shards.
+    /// Starts a service over a decoded index. Equivalent to
+    /// [`QueryService::start_with_source`] — the workers share `index`
+    /// itself, nothing is copied — except that the service remembers the
+    /// decoded form, so [`QueryService::index_tagged`] can hand it back.
     pub fn start(index: Arc<ReachIndex>, config: ServeConfig) -> Self {
-        let partition = Partition::modulo(config.workers.max(1));
-        QueryService::start_with_partition(index, partition, config)
-    }
-
-    /// Starts a service with an explicit vertex-partitioning; the
-    /// partition's node count must equal `config.workers`.
-    pub fn start_with_partition(
-        index: Arc<ReachIndex>,
-        partition: Partition,
-        config: ServeConfig,
-    ) -> Self {
-        assert!(
-            partition.covers(index.num_vertices()),
-            "partition does not cover the index's vertices"
-        );
-        let labels = ShardedLabels::build(&index, partition.clone());
-        QueryService::start_with_epoch(Epoch::Ram { index, labels }, partition, config)
+        QueryService::start_with_epoch(Epoch::ram(index), config)
     }
 
     /// Starts a service over any [`IndexSource`] — a compressed
     /// [`CompressedIndex`](reach_index::CompressedIndex), an out-of-core
     /// [`MmapIndex`](reach_index::MmapIndex), or a plain decoded index.
-    ///
-    /// Source-backed epochs skip the sharded-label rebuild: every worker
-    /// answers from the shared source, so start and swap are O(1) in the
-    /// index size (mmap-backed serving would otherwise decode the file
-    /// it is trying not to hold in memory). [`QueryService::index`] and
-    /// [`QueryService::index_tagged`] are unavailable on this form —
-    /// witness paths use [`QueryService::source_tagged`] instead.
+    /// Every worker answers from the shared source, so start and swap
+    /// are O(1) in the index size. [`QueryService::index_tagged`] is
+    /// unavailable on a generation installed this way — witness paths
+    /// use [`QueryService::source_tagged`] instead.
     pub fn start_with_source(source: Arc<dyn IndexSource>, config: ServeConfig) -> Self {
-        let partition = Partition::modulo(config.workers.max(1));
-        QueryService::start_with_epoch(Epoch::Source(source), partition, config)
+        QueryService::start_with_epoch(Epoch::source(source), config)
     }
 
-    fn start_with_epoch(epoch: Epoch, partition: Partition, config: ServeConfig) -> Self {
+    fn start_with_epoch(epoch: Epoch, config: ServeConfig) -> Self {
         assert!(config.workers >= 1, "a service needs at least one worker");
         assert!(config.queue_capacity >= 1, "queue capacity must be >= 1");
-        assert_eq!(
-            partition.num_nodes(),
-            config.workers,
-            "one worker per label shard"
-        );
         let cache = (config.cache_capacity > 0).then(|| {
             ShardedLruCache::new(
                 config.cache_capacity,
@@ -916,7 +868,6 @@ impl QueryService {
             .map(|cfg| Resilience::new(cfg, config.workers));
         let shared = Arc::new(Shared {
             epochs: Swappable::new(epoch),
-            partition,
             cache,
             queues: (0..config.workers)
                 .map(|_| ShardQueue::new(config.queue_capacity))
@@ -964,22 +915,6 @@ impl QueryService {
         }
     }
 
-    /// The currently served index (the latest swapped-in generation).
-    ///
-    /// # Panics
-    ///
-    /// On a source-backed service ([`QueryService::start_with_source`]):
-    /// there is no decoded [`ReachIndex`] to hand out. Use
-    /// [`QueryService::source_tagged`] there.
-    pub fn index(&self) -> Arc<ReachIndex> {
-        match self.shared.epochs.load().value() {
-            Epoch::Ram { index, .. } => Arc::clone(index),
-            Epoch::Source(_) => {
-                panic!("index() is unavailable on a source-backed service; use source_tagged()")
-            }
-        }
-    }
-
     /// The generation currently being served: 0 at start, +1 per
     /// [`QueryService::swap_index`]. Batches already in flight may still
     /// be answering under an earlier generation.
@@ -987,37 +922,41 @@ impl QueryService {
         self.shared.epochs.generation()
     }
 
-    /// The currently served index together with its generation, read from
-    /// **one** epoch load — unlike calling [`QueryService::index`] and
-    /// [`QueryService::generation`] separately, the pair cannot straddle a
-    /// concurrent [`QueryService::swap_index`]. The wire server's witness
-    /// path snapshots its epoch through this so every witness response is
-    /// internally consistent and correctly generation-tagged.
+    /// The currently served decoded index together with its generation,
+    /// read from **one** epoch load, so the pair cannot straddle a
+    /// concurrent [`QueryService::swap_index`].
+    ///
+    /// # Panics
+    ///
+    /// When the current generation was installed as a bare source
+    /// ([`QueryService::start_with_source`] /
+    /// [`QueryService::swap_source`]): there is no decoded
+    /// [`ReachIndex`] to hand out. Use [`QueryService::source_tagged`]
+    /// there.
     pub fn index_tagged(&self) -> (Arc<ReachIndex>, u64) {
         let epoch = self.shared.epochs.load();
-        match epoch.value() {
-            Epoch::Ram { index, .. } => (Arc::clone(index), epoch.generation()),
-            Epoch::Source(_) => {
-                panic!(
-                    "index_tagged() is unavailable on a source-backed service; use source_tagged()"
-                )
-            }
+        match &epoch.value().decoded {
+            Some(index) => (Arc::clone(index), epoch.generation()),
+            None => panic!(
+                "index_tagged() is unavailable on a source-backed service; use source_tagged()"
+            ),
         }
     }
 
     /// The currently served backing as an [`IndexSource`], with its
-    /// generation, from **one** epoch load — the backing-agnostic
-    /// counterpart of [`QueryService::index_tagged`], and the only
-    /// consistent snapshot on a source-backed service. The wire server's
-    /// witness path answers through this.
+    /// generation, from **one** epoch load — available on every
+    /// generation, whatever installed it. The wire server's witness path
+    /// snapshots its epoch through this so every witness response is
+    /// internally consistent and correctly generation-tagged.
     pub fn source_tagged(&self) -> (Arc<dyn IndexSource>, u64) {
         let epoch = self.shared.epochs.load();
-        (epoch.value().as_source(), epoch.generation())
+        (Arc::clone(&epoch.value().source), epoch.generation())
     }
 
-    /// Atomically replaces the served index with `index`, rebuilt into a
-    /// fresh sharded label store under the service's partition, and
-    /// returns the new generation number.
+    /// Atomically replaces the served index with `index` and returns the
+    /// new generation number. Equivalent to
+    /// [`QueryService::swap_source`], plus remembering the decoded form
+    /// for [`QueryService::index_tagged`].
     ///
     /// The swap never drains and never blocks queries: batches whose
     /// compute already pinned the old epoch finish on it (the old index
@@ -1028,11 +967,8 @@ impl QueryService {
     ///
     /// # Panics
     ///
-    /// If the service runs an explicit [`Partition`] whose assignment
-    /// table does not cover the new index's vertices (the id-modulo
-    /// default covers any vertex count) — or if an active
-    /// [`ServeFaultPlan`](crate::fault::ServeFaultPlan) injects a swap
-    /// failure (chaos drivers should call
+    /// If an active [`ServeFaultPlan`](crate::fault::ServeFaultPlan)
+    /// injects a swap failure (chaos drivers should call
     /// [`QueryService::try_swap_index`] instead).
     pub fn swap_index(&self, index: Arc<ReachIndex>) -> u64 {
         self.try_swap_index(index)
@@ -1041,27 +977,18 @@ impl QueryService {
 
     /// [`QueryService::swap_index`] with injected swap failures surfaced
     /// as [`ServeError::SwapFailed`] instead of a panic. A failed install
-    /// is **atomic-nothing**: the failure coin is drawn before any build
-    /// or install work, the generation does not advance, and the previous
+    /// is **atomic-nothing**: the failure coin is drawn before any
+    /// install work, the generation does not advance, and the previous
     /// epoch keeps serving untouched.
     pub fn try_swap_index(&self, index: Arc<ReachIndex>) -> Result<u64, ServeError> {
-        assert!(
-            self.shared.partition.covers(index.num_vertices()),
-            "partition does not cover the new index's vertices"
-        );
-        self.check_swap_fault()?;
-        let t0 = Instant::now();
-        let labels = ShardedLabels::build(&index, self.shared.partition.clone());
-        Ok(self.install_epoch(Epoch::Ram { index, labels }, t0))
+        self.try_install(Epoch::ram(index))
     }
 
     /// Atomically replaces the served backing with any [`IndexSource`]
     /// — e.g. hot-swapping to a freshly written compressed or
     /// mmap-backed v2 file. Same epoch semantics as
-    /// [`QueryService::swap_index`]: no drain, batches pin one
-    /// generation end-to-end, the cache keys on the generation.
-    /// Ram- and source-backed epochs may alternate freely over a
-    /// service's lifetime.
+    /// [`QueryService::swap_index`]; decoded and bare-source generations
+    /// may alternate freely over a service's lifetime.
     ///
     /// # Panics
     ///
@@ -1077,13 +1004,12 @@ impl QueryService {
     /// surfaced as [`ServeError::SwapFailed`]; atomic-nothing on
     /// failure, like [`QueryService::try_swap_index`].
     pub fn try_swap_source(&self, source: Arc<dyn IndexSource>) -> Result<u64, ServeError> {
-        self.check_swap_fault()?;
-        let t0 = Instant::now();
-        Ok(self.install_epoch(Epoch::Source(source), t0))
+        self.try_install(Epoch::source(source))
     }
 
-    /// Draws the chaos swap-failure coin before any install work.
-    fn check_swap_fault(&self) -> Result<(), ServeError> {
+    /// Draws the chaos swap-failure coin, then installs `epoch` and
+    /// books the swap.
+    fn try_install(&self, epoch: Epoch) -> Result<u64, ServeError> {
         if let Some(res) = &self.shared.resilience {
             if res.draw_swap_failure() {
                 self.shared
@@ -1096,24 +1022,15 @@ impl QueryService {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Installs a built epoch and books the swap; `t0` marks when the
-    /// install work (label resharding included, for Ram) began.
-    fn install_epoch(&self, epoch: Epoch, t0: Instant) -> u64 {
+        let t0 = Instant::now();
         let generation = self.shared.epochs.swap(epoch);
         self.shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats
-            .generation
-            .store(generation, Ordering::Relaxed);
         reach_obs::counter_add("serve.swap.count", 1);
         reach_obs::record("serve.swap.install_ns", t0.elapsed().as_nanos() as u64);
-        generation
+        Ok(generation)
     }
 
-    /// Worker-thread (= shard) count.
+    /// Worker-thread count.
     pub fn num_workers(&self) -> usize {
         self.config.workers
     }
@@ -1135,7 +1052,7 @@ impl QueryService {
     }
 
     /// Non-blocking submission: validates, applies admission control, and
-    /// routes each query to the shard owning its source. Errors returned
+    /// routes each query to worker queue `s % workers`. Errors returned
     /// here ([`ServeError::Overloaded`], [`ServeError::DeadlineExceeded`]
     /// for an already-expired deadline, [`ServeError::InvalidVertex`])
     /// reject the whole batch — no partial results are ever produced.
@@ -1173,7 +1090,7 @@ impl QueryService {
         // pinned to a later (shrunken) epoch at pickup is re-checked by
         // the worker against its pinned generation.
         let epoch = shared.epochs.load();
-        let n = epoch.value().num_vertices();
+        let n = epoch.value().source.num_vertices();
         for &(s, t) in queries {
             for v in [s, t] {
                 if v as usize >= n {
@@ -1235,16 +1152,15 @@ impl QueryService {
             }
         }
 
-        // Route queries to the shard owning each source vertex — a pure
-        // function of the fixed partition, so routing stays valid no
-        // matter which epoch the batch later pins. Each shard gets its
-        // slice of the batch plus the submission positions its answers
-        // must land at.
+        // Route each query to worker queue `s % workers` — a pure
+        // function of the query, so routing stays valid no matter which
+        // epoch the batch later pins. Each queue gets its slice of the
+        // batch plus the submission positions its answers must land at.
         type RoutedShard = (Vec<(VertexId, VertexId)>, Vec<u32>);
-        let shards = shared.partition.num_nodes();
+        let shards = shared.queues.len();
         let mut routed: Vec<RoutedShard> = (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
         for (i, &(s, t)) in queries.iter().enumerate() {
-            let k = shared.partition.node_of(s);
+            let k = s as usize % shards;
             routed[k].0.push((s, t));
             routed[k].1.push(i as u32);
         }
@@ -1306,7 +1222,7 @@ impl QueryService {
 
     /// Cumulative service counters.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats.snapshot()
+        self.shared.stats.snapshot(self.generation())
     }
 
     /// Holds all workers before their next sub-batch. Queued work stays
@@ -1354,7 +1270,7 @@ impl QueryService {
     /// ([`ServeStats::is_balanced`]) — a batch was lost or counted twice.
     pub fn shutdown(mut self) -> ServeStats {
         self.stop();
-        self.shared.stats.snapshot()
+        self.stats()
     }
 
     fn stop(&mut self) {
@@ -1381,7 +1297,7 @@ impl QueryService {
         // bucket. Skipped mid-panic so a failing test reports its own
         // assertion instead of aborting on a double panic.
         if !std::thread::panicking() {
-            let s = self.shared.stats.snapshot();
+            let s = self.stats();
             assert!(
                 s.is_balanced(),
                 "serve accounting out of balance at shutdown: submitted={} answered={} \
@@ -1401,11 +1317,10 @@ impl Drop for QueryService {
     }
 }
 
-/// One worker: drain the shard's queue until close, answering each
-/// sub-batch shard-locally.
+/// One worker: drain its queue until close, answering each sub-batch.
 fn worker_loop(shared: &Shared, shard: usize) {
     while let Some(sub) = shared.queues[shard].pop() {
-        serve_sub_batch(shared, shard, &sub);
+        serve_sub_batch(shared, &sub);
     }
 }
 
@@ -1504,7 +1419,7 @@ fn supervised_worker_loop(
             std::thread::sleep(delay);
         }
         heartbeat.store(res.now_ns(), Ordering::Release);
-        serve_sub_batch(shared, shard, &sub);
+        serve_sub_batch(shared, &sub);
         *inflight.lock().unwrap() = None;
     }
 }
@@ -1602,7 +1517,7 @@ fn record_recovery(shared: &Shared, res: &Resilience, latency_ns: u64) {
     reach_obs::record("serve.respawn.latency_ns", latency_ns);
 }
 
-fn serve_sub_batch(shared: &Shared, shard: usize, sub: &SubBatch) {
+fn serve_sub_batch(shared: &Shared, sub: &SubBatch) {
     // A sibling sub-batch already failed the batch (overload poisoning):
     // just account for this one, the ticket holder has its error.
     if sub.state.failed_already() {
@@ -1624,7 +1539,7 @@ fn serve_sub_batch(shared: &Shared, shard: usize, sub: &SubBatch) {
         .get_or_init(|| shared.epochs.load())
         .clone();
     let generation = epoch.generation();
-    let backing = epoch.value();
+    let backing = &epoch.value().source;
     // Submission validated against the epoch current back then; the
     // pinned one may cover fewer vertices (a shrinking swap), so re-check
     // before touching label arrays.
@@ -1654,7 +1569,7 @@ fn serve_sub_batch(shared: &Shared, shard: usize, sub: &SubBatch) {
                 cached
             }
             None => {
-                let (computed, scanned) = backing.scan(shard, s, t);
+                let (computed, scanned) = backing.query_scan(s, t);
                 reach_obs::record("serve.query.scan_len", scanned as u64);
                 if let Some(c) = &shared.cache {
                     misses += 1;
@@ -1734,7 +1649,7 @@ mod tests {
         let g = fixtures::paper_graph();
         let idx = closure_index(&g);
         let tc = TransitiveClosure::compute(&g);
-        for workers in [1, 2, 4, 8] {
+        for workers in [1, 2, 3, 4, 5, 8] {
             let svc = QueryService::start(Arc::clone(&idx), ServeConfig::with_workers(workers));
             for s in g.vertices() {
                 for t in g.vertices() {
@@ -1813,7 +1728,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         svc.resume();
         assert_eq!(ticket.wait().unwrap_err(), ServeError::DeadlineExceeded);
-        assert_eq!(svc.stats().rejected_deadline, 1);
+        // The worker wakes the waiter before it books the rejection, so
+        // read the count once shutdown has joined it.
+        assert_eq!(svc.shutdown().rejected_deadline, 1);
     }
 
     #[test]
@@ -2232,22 +2149,5 @@ mod tests {
             let stats = svc.shutdown();
             assert!(stats.is_balanced());
         }
-    }
-
-    #[test]
-    fn explicit_partition_routes_by_ownership() {
-        let g = fixtures::paper_graph();
-        let idx = closure_index(&g);
-        let assignment: Vec<u16> = (0..11).map(|v| (v % 3) as u16).collect();
-        let part = Partition::explicit(3, assignment);
-        let mut cfg = ServeConfig::with_workers(3);
-        cfg.cache_capacity = 0;
-        let svc = QueryService::start_with_partition(Arc::clone(&idx), part, cfg);
-        for s in g.vertices() {
-            for t in g.vertices() {
-                assert_eq!(svc.reachable(s, t).unwrap(), idx.query(s, t));
-            }
-        }
-        svc.shutdown();
     }
 }

@@ -47,7 +47,7 @@ pub fn closure_index(g: &DiGraph) -> Arc<ReachIndex> {
 /// Knobs of [`run_swap_consistency`].
 #[derive(Clone, Debug)]
 pub struct SwapHarnessConfig {
-    /// Service worker threads (= label shards).
+    /// Service worker threads.
     pub workers: usize,
     /// Whether the result cache is on (its default capacity) or off.
     pub cache: bool,
@@ -208,7 +208,7 @@ pub fn run_swap_consistency(
 /// fault plan, supervision cadence, and an optional client retry policy.
 #[derive(Clone, Debug)]
 pub struct ChaosHarnessConfig {
-    /// Service worker threads (= label shards).
+    /// Service worker threads.
     pub workers: usize,
     /// Whether the result cache is on (its default capacity) or off.
     pub cache: bool,

@@ -51,7 +51,7 @@ fn print_usage() {
            --listen ADDR             listen address (127.0.0.1:7411)\n\
            --compressed              serve a v2 index from its compressed in-memory image\n\
            --mmap                    memory-map a v2 index and serve out-of-core\n\
-           --workers N               service worker threads = label shards (4)\n\
+           --workers N               service worker threads (4)\n\
            --queue-capacity N        per-shard admission queue, in sub-batches (1024)\n\
            --cache N                 result-cache entries, 0 disables (16384)\n\
            --default-deadline-ms N   deadline for batches sent without one, 0 = none (0)\n\

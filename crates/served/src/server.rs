@@ -49,8 +49,8 @@ const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 /// every wire-triggered RELOAD.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexMode {
-    /// Decode fully into an in-memory [`reach_index::ReachIndex`] with
-    /// per-worker sharded labels (v1 or v2 files).
+    /// Decode fully into an in-memory [`reach_index::ReachIndex`]
+    /// shared by every worker (v1 or v2 files).
     #[default]
     Ram,
     /// Hold the v2 image in memory in its compressed form and answer
@@ -159,7 +159,10 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), starts
     /// the inner [`QueryService`] on `index`, and begins accepting
-    /// connections.
+    /// connections. Serves exactly as [`Server::start_with_source`] does
+    /// — the workers share `index` itself — and additionally keeps the
+    /// decoded form reachable through
+    /// [`QueryService::index_tagged`].
     pub fn start(
         index: Arc<reach_index::ReachIndex>,
         cfg: ServedConfig,
@@ -511,9 +514,10 @@ fn handle_frame(
             } else {
                 PathBuf::from(path)
             };
-            // Reload in the server's configured index mode: a ram-mode
-            // server decodes and reshards; compressed/mmap servers
-            // install the new file as a source without decoding it.
+            // Reload in the server's configured index mode. Every mode
+            // installs one shared `IndexSource`; a ram-mode server goes
+            // through `try_swap_index` so the decoded index stays
+            // inspectable through `index_tagged` after the reload.
             let mode = shared.cfg.index_mode;
             let load_err = |e: storage::StorageError| {
                 (
