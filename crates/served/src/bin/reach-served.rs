@@ -123,7 +123,7 @@ fn run(args: &[String]) -> Result<(), String> {
         index_mode: mode,
     };
 
-    shutdown::install();
+    shutdown::install().map_err(|e| format!("cannot install signal handlers: {e}"))?;
     let server = match mode {
         IndexMode::Ram => {
             let index = reach_index::storage::load_index(&index_path)
@@ -154,26 +154,27 @@ fn run(args: &[String]) -> Result<(), String> {
         workers.max(1)
     );
 
-    // The main loop only watches for a drain trigger; all serving work
-    // happens on the accept/connection/service threads.
-    loop {
-        if shutdown::termination_requested() {
-            eprintln!("termination signal: draining");
-            server.drain();
-        }
-        if server.is_draining() {
-            let grace = Duration::from_millis(drain_grace_ms);
-            if server.wait_drained(grace) {
-                eprintln!("drained: all connections closed");
-            } else {
-                eprintln!(
-                    "drain grace expired with {} connection(s) open; shutting down",
-                    server.active_connections()
-                );
+    // All serving work happens on the accept/connection/service threads.
+    // Main blocks until a drain begins — a wire DRAIN, or the watcher
+    // turning a termination signal into one — and then releases the
+    // watcher, so the scope joins it either way.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            if shutdown::wait_for_termination() {
+                eprintln!("termination signal: draining");
+                server.drain();
             }
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
+        });
+        server.wait_draining();
+        shutdown::cancel_wait();
+    });
+    if server.wait_drained(Duration::from_millis(drain_grace_ms)) {
+        eprintln!("drained: all connections closed");
+    } else {
+        eprintln!(
+            "drain grace expired with {} connection(s) open; shutting down",
+            server.active_connections()
+        );
     }
 
     let stats = server.shutdown();

@@ -3,10 +3,16 @@
 //!
 //! # Threading model
 //!
-//! One accept thread polls a non-blocking listener. Each accepted
+//! One accept thread blocks in `accept` on the listener; nothing on the
+//! connection lifecycle runs on a timer. Whoever begins a drain or a
+//! shutdown wakes that thread once with a loopback connection to the
+//! server's own address, which is dropped without being counted or
+//! served. Each accepted
 //! connection gets a **reader** thread (parses frames, enforces quotas,
 //! submits batches) and a **writer** thread (the only thread that ever
-//! writes to the socket). The two communicate over an in-process
+//! writes to the socket). The reader blocks in `read` and exits on EOF —
+//! the client hanging up, or [`Server::shutdown`] shutting down the read
+//! half of the socket. The two communicate over an in-process
 //! channel of `Work` items, so responses are written strictly in
 //! request order per connection while the service computes many batches
 //! concurrently — the reader keeps submitting (pipelining) while the
@@ -16,19 +22,21 @@
 //! # Graceful drain
 //!
 //! [`Server::drain`] (or a wire `DRAIN` frame, or SIGTERM in the
-//! `reach-served` binary) stops the accept loop and flips the draining
-//! flag: new QUERY/WITNESS/RELOAD frames are answered with
+//! `reach-served` binary) flips the draining flag and wakes the accept
+//! thread, which exits: new QUERY/WITNESS/RELOAD frames are answered with
 //! `SHUTTING_DOWN`, while every batch already ticketed completes and its
 //! response is written. [`Server::shutdown`] then joins everything and
 //! asserts the serving ledger (`submitted == answered + rejected +
 //! shed`) via [`QueryService::shutdown`].
 
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -38,11 +46,14 @@ use reach_serve::{BatchOptions, BatchTicket, Priority, QueryService, ServeConfig
 use crate::quota::{QuotaConfig, TokenBucket};
 use crate::wire::{self, opcode, ErrorCode, Frame, FrameReader, Polled, ReadError, WireStats};
 
-/// How often blocked reads wake up to check the stop/drain flags.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// Pause after a failed `accept` (EMFILE and friends), so a persistent
+/// error cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
-/// How often the accept loop polls its non-blocking listener.
-const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
+/// Bound on the self-connect that wakes the accept thread. Loopback
+/// connects complete or are refused at once; only a full backlog makes
+/// one wait, and then the accept thread has connections to wake it.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How the server materializes a `.ridx` file — at startup (the
 /// `reach-served` binary's `--compressed` / `--mmap` flags) and on
@@ -133,17 +144,69 @@ enum Work {
 struct Shared {
     svc: QueryService,
     cfg: ServedConfig,
+    /// Where a self-connect reaches the listener (see [`wake_addr`]).
+    wake_addr: SocketAddr,
     /// Set once: stop admitting new wire work (drain in progress).
     draining: AtomicBool,
-    /// Set once: tear everything down (readers exit at next poll).
+    /// Set once: tear everything down (readers exit after the frame in
+    /// hand; [`Server::shutdown`] ends their blocked reads).
     stop: AtomicBool,
-    /// Open connections.
-    active: AtomicU64,
-    /// Join handles of connection reader threads (each joins its own
-    /// writer before exiting).
-    conns: Mutex<Vec<JoinHandle<()>>>,
-    /// Obs recordings banked by exited threads, merged at shutdown.
-    banked: Mutex<Vec<reach_obs::WorkerMetrics>>,
+    /// Open connections. `changed` is notified whenever the count falls
+    /// or `draining` flips; whoever flips the flag takes this lock before
+    /// notifying, so a waiter cannot read the flag and then miss the
+    /// wake-up.
+    open: Mutex<u64>,
+    changed: Condvar,
+    /// Live connections: the reader thread's handle (it joins its own
+    /// writer and returns both threads' obs recording) and a clone of its
+    /// socket, for [`Server::shutdown`] to end the blocked read with.
+    /// The accept thread reaps finished entries.
+    conns: Mutex<Vec<Conn>>,
+}
+
+type Conn = (JoinHandle<reach_obs::WorkerMetrics>, TcpStream);
+
+impl Shared {
+    /// Flips the draining flag. The call that flips it wakes the accept
+    /// thread and everyone blocked in `wait_drained` / `wait_draining`,
+    /// and returns `true`.
+    fn begin_drain(&self) -> bool {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        // Refused when the accept thread is already gone; either way
+        // there is nobody left to wake.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        let _open = self.open();
+        self.changed.notify_all();
+        true
+    }
+
+    /// A requested drain — [`Server::drain`] or a wire DRAIN frame — as
+    /// opposed to the one [`Server::shutdown`] implies.
+    fn drain(&self) {
+        if self.begin_drain() {
+            reach_obs::counter_add("served.drains", 1);
+        }
+    }
+
+    /// The open-connection count, locked.
+    fn open(&self) -> MutexGuard<'_, u64> {
+        // Held only to add, subtract or wait: a panic cannot poison it.
+        self.open.lock().expect("open-connection count lock")
+    }
+}
+
+/// The loopback address that reaches a listener bound to `bound`: an
+/// unspecified bind address (`0.0.0.0`, `::`) is not connectable, its
+/// family's localhost is.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A running wire server around a [`QueryService`]. Start with
@@ -152,7 +215,7 @@ struct Shared {
 /// model.
 pub struct Server {
     inner: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    accept: Option<JoinHandle<reach_obs::WorkerMetrics>>,
     addr: SocketAddr,
 }
 
@@ -190,25 +253,22 @@ impl Server {
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Shared {
             svc,
             cfg,
+            wake_addr: wake_addr(addr),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            active: AtomicU64::new(0),
+            open: Mutex::new(0),
+            changed: Condvar::new(),
             conns: Mutex::new(Vec::new()),
-            banked: Mutex::new(Vec::new()),
         });
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("reach-served-accept".into())
-                .spawn(move || {
-                    let ((), metrics) = reach_obs::scoped_worker(|| accept_loop(&inner, listener));
-                    inner.banked.lock().unwrap().push(metrics);
-                })
+                .spawn(move || reach_obs::scoped_worker(|| accept_loop(&inner, listener)).1)
                 .expect("spawn accept thread")
         };
         Ok(Server {
@@ -234,9 +294,7 @@ impl Server {
     /// work is rejected with `SHUTTING_DOWN`, in-flight batches complete
     /// and their responses are written. Idempotent.
     pub fn drain(&self) {
-        if !self.inner.draining.swap(true, Ordering::SeqCst) {
-            reach_obs::counter_add("served.drains", 1);
-        }
+        self.inner.drain();
     }
 
     /// Whether a drain has begun (locally or via a wire DRAIN frame).
@@ -246,46 +304,52 @@ impl Server {
 
     /// Open client connections right now.
     pub fn active_connections(&self) -> u64 {
-        self.inner.active.load(Ordering::SeqCst)
+        *self.inner.open()
+    }
+
+    /// Blocks until a drain has begun, locally or via a wire DRAIN frame.
+    pub fn wait_draining(&self) {
+        let _open = self
+            .inner
+            .changed
+            .wait_while(self.inner.open(), |_| !self.is_draining())
+            .expect("open-connection count lock");
     }
 
     /// Blocks until a begun drain has quiesced — every connection closed
     /// — or `timeout` elapsed. Returns `true` when fully quiesced.
     pub fn wait_drained(&self, timeout: Duration) -> bool {
-        let give_up = Instant::now() + timeout;
-        loop {
-            if self.is_draining() && self.active_connections() == 0 {
-                return true;
-            }
-            if Instant::now() >= give_up {
-                return false;
-            }
-            std::thread::sleep(ACCEPT_INTERVAL);
-        }
+        let open = self.inner.open();
+        let (_open, wait) = self
+            .inner
+            .changed
+            .wait_timeout_while(open, timeout, |open| !self.is_draining() || *open > 0)
+            .expect("open-connection count lock");
+        !wait.timed_out()
     }
 
     /// Tears the server down: stops accepting, unblocks every
     /// connection (in-flight responses are still written), joins all
-    /// threads, folds banked obs recordings into the calling thread, and
+    /// threads, folds their obs recordings into the calling thread, and
     /// shuts the inner service down — which asserts the
     /// `submitted == answered + rejected + shed` ledger.
     pub fn shutdown(mut self) -> reach_serve::ServeStats {
-        self.inner.draining.store(true, Ordering::SeqCst);
         self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        loop {
-            let handles: Vec<_> = self.inner.conns.lock().unwrap().drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-        for metrics in self.inner.banked.lock().unwrap().drain(..) {
+        self.inner.begin_drain();
+        if let Some(metrics) = self.accept.take().and_then(|h| h.join().ok()) {
             reach_obs::merge_worker(metrics);
+        }
+        // With the accept thread joined nothing adds to `conns`. A reader
+        // blocked in `read` sees EOF on the shut-down half, drops its end
+        // of the work channel, and its writer flushes what was queued.
+        let conns = std::mem::take(&mut *self.inner.conns.lock().expect("connection list lock"));
+        for (_, stream) in &conns {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (handle, _) in conns {
+            if let Ok(metrics) = handle.join() {
+                reach_obs::merge_worker(metrics);
+            }
         }
         let Server { inner, .. } = self;
         match Arc::try_unwrap(inner) {
@@ -297,48 +361,74 @@ impl Server {
     }
 }
 
-/// Polls the non-blocking listener until stop/drain, spawning a
-/// connection thread per accept.
+/// Blocks in `accept` until stop/drain, spawning a connection thread per
+/// accept. The flags are read after every return from `accept`, so the
+/// self-connect from [`Shared::begin_drain`] — or a client that raced it —
+/// is dropped unserved and uncounted.
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+        // The clone is `Server::shutdown`'s handle on the blocked read; a
+        // connection that cannot have one (EMFILE) is not taken on.
+        let accepted = accepted.and_then(|(stream, _peer)| Ok((stream.try_clone()?, stream)));
+        match accepted {
+            Ok((clone, stream)) => {
                 reach_obs::counter_add("served.connections", 1);
-                shared.active.fetch_add(1, Ordering::SeqCst);
+                *shared.open() += 1;
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("reach-served-conn".into())
                     .spawn(move || {
                         let ((), metrics) =
                             reach_obs::scoped_worker(|| connection_loop(&conn_shared, stream));
-                        conn_shared.banked.lock().unwrap().push(metrics);
-                        conn_shared.active.fetch_sub(1, Ordering::SeqCst);
+                        *conn_shared.open() -= 1;
+                        conn_shared.changed.notify_all();
+                        metrics
                     })
                     .expect("spawn connection thread");
-                shared.conns.lock().unwrap().push(handle);
+                let mut conns = shared.conns.lock().expect("connection list lock");
+                conns.push((handle, clone));
+                reap(&mut conns);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_INTERVAL);
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+}
+
+/// Joins every finished connection thread — folding its obs recording
+/// into the accept thread's own, and closing the socket clone — so
+/// `conns` holds the live connections only however many have come and
+/// gone.
+fn reap(conns: &mut Vec<Conn>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].0.is_finished() {
+            let (handle, _stream) = conns.swap_remove(i);
+            if let Ok(metrics) = handle.join() {
+                reach_obs::merge_worker(metrics);
             }
-            Err(_) => std::thread::sleep(ACCEPT_INTERVAL),
+        } else {
+            i += 1;
         }
     }
 }
 
 /// One connection's reader: parse frames, enforce quotas, dispatch, and
-/// feed the writer. Exits on EOF, fatal framing, socket error, or server
-/// stop; always joins its writer before returning.
+/// feed the writer. Exits on EOF (the client's, or the read-half
+/// shutdown from [`Server::shutdown`]), fatal framing, socket error, or
+/// server stop; always joins its writer before returning.
 fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
     let write_half = match stream.try_clone() {
         Ok(s) => s,
-        Err(_) => return,
+        Err(_) => {
+            // Dropping `stream` would not close it: `conns` holds a clone.
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
     };
     let (tx, rx) = std::sync::mpsc::channel::<Work>();
     let inflight = Arc::new(AtomicU32::new(0));
@@ -361,7 +451,6 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
             break;
         }
         match reader.poll(&mut stream) {
-            Ok(Polled::Pending) => continue,
             Ok(Polled::Frame(frame)) => {
                 reach_obs::counter_add("served.frames.in", 1);
                 reach_obs::counter_add(
@@ -381,7 +470,9 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
                 let _ = tx.send(Work::Fatal(wire::error_frame(request_id, code, &msg)));
                 break;
             }
-            Err(ReadError::Io(_)) => break,
+            // The socket has no read timeout, so `Pending` cannot come
+            // back; were it to, it is a socket that cannot be read.
+            Ok(Polled::Pending) | Err(ReadError::Io(_)) => break,
         }
     }
     drop(tx);
@@ -547,9 +638,7 @@ fn handle_frame(
             }
         }
         opcode::DRAIN => {
-            if !shared.draining.swap(true, Ordering::SeqCst) {
-                reach_obs::counter_add("served.drains", 1);
-            }
+            shared.drain();
             let _ = tx.send(Work::Frame(
                 Frame::new(opcode::DRAIN_OK, id, Vec::new()).encode(),
             ));
@@ -570,7 +659,7 @@ fn handle_frame(
                 cache_hits: s.cache_hits,
                 cache_misses: s.cache_misses,
                 swaps: s.swaps,
-                connections: shared.active.load(Ordering::SeqCst),
+                connections: *shared.open(),
             };
             let payload = wire::encode_stats_ok(&stats);
             let _ = tx.send(Work::Frame(
@@ -689,4 +778,55 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Work>, inflight: &AtomicU32) 
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Response, WireClient};
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_localhost() {
+        for (bound, wake) in [
+            ("0.0.0.0:7411", "127.0.0.1:7411"),
+            ("[::]:7411", "[::1]:7411"),
+            ("10.1.2.3:9", "10.1.2.3:9"),
+            ("127.0.0.1:80", "127.0.0.1:80"),
+        ] {
+            assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
+        }
+    }
+
+    #[test]
+    fn finished_connections_are_reaped_not_hoarded() {
+        let g = reach_datasets::generators::hierarchy(12, 24, 0.9, 5);
+        let index = reach_serve::testing::closure_index(&g);
+        let server = Server::start(index, ServedConfig::default(), "127.0.0.1:0").unwrap();
+        let mut keep = WireClient::connect(server.local_addr()).unwrap();
+        assert_eq!(keep.call_ping().unwrap(), Response::Pong);
+
+        // A connection thread counts as finished a moment after its client
+        // hangs up, so the accept that follows may find it still winding
+        // down: the list is bounded by the live connection plus those few
+        // stragglers, not by how many have come and gone.
+        let mut longest = 0;
+        for _ in 0..1_000 {
+            let mut client = WireClient::connect(server.local_addr()).unwrap();
+            assert_eq!(client.call_ping().unwrap(), Response::Pong);
+            longest = longest.max(server.inner.conns.lock().unwrap().len());
+        }
+        assert!(longest <= 32, "{longest} connections kept of 1 000 closed");
+
+        drop(keep);
+        // Under `--features obs` a reaped thread's recording rides the
+        // accept thread's to `shutdown`; none is lost with its handle.
+        // (Scoped, so only this server's counters are in the snapshot.)
+        reach_obs::scoped_worker(|| {
+            assert!(server.shutdown().is_balanced());
+            if let Some(snapshot) = reach_obs::snapshot() {
+                assert_eq!(snapshot.counter("served.connections"), 1_001);
+                assert_eq!(snapshot.counter("served.frames.out"), 1_001);
+            }
+        });
+    }
 }

@@ -248,17 +248,17 @@ pub enum ReadError {
 pub enum Polled {
     /// A complete frame.
     Frame(Frame),
-    /// The read timed out (or would block) before a frame completed;
-    /// poll again after checking shutdown flags.
+    /// The read timed out (or would block) before a frame completed —
+    /// a client's receive timeout; the server's sockets have none.
     Pending,
 }
 
 /// Incremental frame parser over a non-blocking or read-timeout socket.
 ///
 /// Buffers partial reads so a frame split across arbitrarily many TCP
-/// segments (or interleaved with poll timeouts) is reassembled without
-/// ever losing stream position — the property that makes read timeouts
-/// safe to use as a shutdown-flag poll interval.
+/// segments (or interleaved with read timeouts) is reassembled without
+/// ever losing stream position — the property that lets a client retry
+/// a receive after its timeout.
 pub struct FrameReader {
     buf: Vec<u8>,
     max_frame: u32,
@@ -274,7 +274,7 @@ impl FrameReader {
     }
 
     /// Attempts to read one frame from `r`. Returns [`Polled::Pending`]
-    /// on timeout so callers can re-check shutdown flags; framing
+    /// on timeout, with the partial frame kept for the next call; framing
     /// violations are [`ReadError::Fatal`] with the code to report.
     pub fn poll(&mut self, r: &mut impl Read) -> Result<Polled, ReadError> {
         loop {

@@ -246,7 +246,11 @@ fn inflight_window_quota_yields_retryable_rejection() {
     let id3 = client.send_query(&b3, 0, wire::priority::NORMAL).unwrap();
     // The reader thread must see frame 3 while the window is still full
     // (its rejection is invisible until the writer drains, so give the
-    // parse a generous head start before releasing the workers).
+    // parse a generous head start before releasing the workers). This
+    // sleep stays, at its generous length, until the server has live
+    // metrics: a rejection counted where the test can read it (ROADMAP,
+    // "See inside a running server") is the observable to wait on, and a
+    // shorter guess would only trade a slow test for a flaky one.
     std::thread::sleep(Duration::from_millis(300));
     server.service().resume();
 
